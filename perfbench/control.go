@@ -45,6 +45,14 @@ var cpMix = []struct {
 
 var cpWorkloads = []string{"STREAM", "DGEMM", "MiniFE", "GUPS", "Graph500", "XSBench"}
 
+// cpCampaignConfigs are the configs of the mix's model campaigns: one
+// point per config.
+var cpCampaignConfigs = []string{"dram", "hbm"}
+
+// jobRecords is how many journal records a campaign job appends:
+// accepted and done.
+const jobRecords = 2
+
 // cp is one control-plane run's shared state.
 type cp struct {
 	b    *bench
@@ -104,7 +112,7 @@ func (b *bench) controlPlane(ctx context.Context, sp spec, ph phase) (_ *outcome
 	if err := b.refs.compute([][]tracesim.Access{warmAccs}, []string{id}, []string{"cache"}, []string{sp.SKUs[0]}); err != nil {
 		return nil, err
 	}
-	srv, c, err := b.startFresh(ctx, o, ph.setups, sp.Conns, func(c *service.Client) error {
+	srv, c, err := b.startFresh(ctx, o, ph, sp.Conns, func(c *service.Client) error {
 		st.c = c
 		return st.warmUp(ctx, o, bin)
 	})
@@ -247,7 +255,7 @@ func (st *cp) warmUp(ctx context.Context, o *outcome, bin []byte) error {
 			return fmt.Errorf("warm set-up: %w", err)
 		}
 	}
-	resp, err := st.c.SubmitCampaign(ctx, campaign.Spec{Workloads: []string{"STREAM"}, Configs: []string{"dram", "hbm"}, Sizes: []string{"2GB"}}, true)
+	resp, err := st.c.SubmitCampaign(ctx, campaign.Spec{Workloads: []string{"STREAM"}, Configs: cpCampaignConfigs, Sizes: []string{"2GB"}}, true)
 	if err != nil {
 		return fmt.Errorf("set-up campaign: %w", err)
 	}
@@ -299,7 +307,7 @@ func (st *cp) do(ctx context.Context, c *service.Client, k int, n int64, o *outc
 	case kWarm:
 		return st.warm(ctx, c, int(n), o)
 	case kCampaign:
-		resp, err := c.SubmitCampaign(ctx, campaign.Spec{Workloads: []string{w}, Configs: []string{"dram", "hbm"}, Sizes: []string{fmt.Sprintf("%dMB", 1024+n)}}, true)
+		resp, err := c.SubmitCampaign(ctx, campaign.Spec{Workloads: []string{w}, Configs: cpCampaignConfigs, Sizes: []string{fmt.Sprintf("%dMB", 1024+n)}}, true)
 		if err != nil {
 			return err
 		}

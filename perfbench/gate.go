@@ -145,7 +145,9 @@ func (r *references) compute(streams [][]tracesim.Access, ids, cfgs, skus []stri
 				errs[i] = err
 				return
 			}
-			res, err := sim.RunBlockPasses(blocksOf(j.accs), 1)
+			// sliceGen has no NextBatch, so this is the per-access
+			// Access loop, not the block path simd's replays take.
+			res, err := sim.RunPasses(&sliceGen{accs: j.accs}, 1)
 			if err != nil {
 				errs[i] = err
 				return

@@ -28,6 +28,15 @@ type traceSpec struct {
 	JumpFrac  float64 // mixed only: share of random jumps
 }
 
+// meanAccesses is the mean stream length of ts.
+func meanAccesses(ts []traceSpec) float64 {
+	n := 0
+	for _, t := range ts {
+		n += t.Accesses
+	}
+	return float64(n) / float64(max(len(ts), 1))
+}
+
 // generate builds the stream deterministically from seed. The base
 // address also derives from the seed, so two seeds never produce the
 // same content address.

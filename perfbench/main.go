@@ -113,7 +113,7 @@ func run() int {
 	var gateErr error
 	if *trace == 0 {
 		var o *outcome
-		o, err = b.runWorkload(ctx, sp, phase{dur: b.dur, setups: setupReps})
+		o, err = b.runWorkload(ctx, sp, phase{dur: b.dur, setups: setupReps, setupBudget: setupBudget})
 		if err == nil {
 			var gerr error
 			if _, gerr, err = verifyPaper(); gerr != nil {
@@ -149,10 +149,11 @@ func run() int {
 // phase is how one workload run is driven: for how long, and, in the
 // traced run, with which recorder and profile.
 type phase struct {
-	dur     time.Duration
-	setups  int       // set-ups before the timed part
-	spans   *recorder // nil: untraced
-	profile string    // where to save simd's CPU profile of the timed window ("": none)
+	dur         time.Duration
+	setups      int           // minimum set-ups before the timed part
+	setupBudget time.Duration // set up again until this much time is spent
+	spans       *recorder     // nil: untraced
+	profile     string        // where to save simd's CPU profile of the timed window ("": none)
 }
 
 // runWorkload runs the named workload.

@@ -57,7 +57,7 @@ func (b *bench) replaySerial(ctx context.Context, sp spec, ph phase) (_ *outcome
 		}
 		return nil
 	}
-	srv, c, err := b.startFresh(ctx, o, ph.setups, sp.Conns, upload)
+	srv, c, err := b.startFresh(ctx, o, ph, sp.Conns, upload)
 	if err != nil {
 		return nil, err
 	}

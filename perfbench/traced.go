@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"time"
+
+	"repro/internal/campaign"
 )
 
 // perLayer lists every per-layer metric with its unit, in report order.
@@ -129,30 +131,49 @@ func (b *bench) traced(ctx context.Context, sp spec, env map[string]any) (result
 	// The share of each request class's untraced median the layer self
 	// times leave uncovered (negative when they over-explain it).
 	unattributed := func(e2eUS, coveredUS float64) float64 { return 1 - coveredUS/e2eUS }
-	const replayAccesses, uploadAccesses = 1 << 20, 1 << 18
+	rs, err := specFor(wReplaySerial, nproc())
+	if err != nil {
+		return result{}, nil, nil, err
+	}
+	ups, err := specFor(wUploadCampaign, nproc())
+	if err != nil {
+		return result{}, nil, nil, err
+	}
+	write := m["journal.put_us"]
+	replayUS := func(accesses float64) float64 {
+		return accesses*(m["tracestore.decode_ns"]+simAvg)/1000 + write
+	}
 	rd, ud := plain[wReplaySerial].detail, plain[wUploadCampaign].detail
 	m["trace.unattributed_replay"] = unattributed(rd["replay_p50_ms"]*1000,
-		replayAccesses*(m["tracestore.decode_ns"]+simAvg)/1000+m["journal.put_us"]+warmUS)
+		replayUS(meanAccesses(rs.Traces))+warmUS)
 	m["trace.unattributed_upload"] = unattributed(ud["upload_p50_ms"]*1000,
-		uploadAccesses*ingestAvg/1000+warmUS)
+		meanAccesses(ups.Traces)*ingestAvg/1000+warmUS)
 	workers := float64(max(plain[wUploadCampaign].simdProcs, 1))
-	points := float64(3 * len(configs))
+	points := float64(len(ups.Traces) * len(ups.Configs))
+	// A campaign job: expansion, its points, the job's journal records
+	// and result, the tables, its queue wait and the request itself.
+	jobUS := func(pointsUS, queueMS, requestUS float64) float64 {
+		return m["campaign.expand_us"] + pointsUS + jobRecords*m["journal.append_us"] + write +
+			m["campaign.tables_us"] + queueMS*1000 + requestUS
+	}
 	m["trace.unattributed_campaign"] = unattributed(ud["campaign_p50_s"]*1e6,
-		m["campaign.expand_us"]+median(plain[wUploadCampaign].queueMS)*1000+
-			points*(uploadAccesses*(m["tracestore.decode_ns"]+simAvg)/1000+m["journal.put_us"])/workers+
-			2*m["journal.append_us"]+m["journal.put_us"]+m["campaign.tables_us"]+warmUS)
-	// The control-plane mix at the lo rate, as a weighted mean of what
-	// each request kind costs in-process, plus transport. A cluster
-	// sweep iterates six node counts; a campaign has two model points.
-	write := m["journal.put_us"]
-	m["trace.unattributed_cp"] = unattributed(plain[wControlPlane].detail["cp_lo_p50_ms"]*1000,
-		0.30*m["service.serve_cold_run_us"]+
-			0.15*(m["placement.advise_us"]+write+m["service.serve_warm_us"])+
-			0.15*(6*m["cluster.iterate_us"]+write+m["service.serve_warm_us"])+
-			0.30*m["service.serve_warm_us"]+
-			0.10*(m["campaign.expand_us"]+2*(m["engine.predict_us"]+write)+2*m["journal.append_us"]+write+
-				m["campaign.tables_us"]+m["service.serve_warm_us"]+m["service.queue_wait_ms"]*1000)+
-			m["http.transport_us"])
+		jobUS(points*replayUS(meanAccesses(ups.Traces))/workers, median(plain[wUploadCampaign].queueMS), warmUS))
+	// The control-plane mix at the lo rate, as the mix's weighted mean
+	// of what each request kind costs in-process, plus transport.
+	warm := m["service.serve_warm_us"]
+	cost := map[int]float64{
+		kColdRun:     m["service.serve_cold_run_us"],
+		kColdAdvise:  m["placement.advise_us"] + write + warm,
+		kColdCluster: float64(len(campaign.DefaultNodeCounts()))*m["cluster.iterate_us"] + write + warm,
+		kWarm:        warm,
+		kCampaign:    jobUS(float64(len(cpCampaignConfigs))*(m["engine.predict_us"]+write), m["service.queue_wait_ms"], warm),
+		kJobGet:      warm,
+	}
+	cpUS := m["http.transport_us"]
+	for _, k := range cpMix {
+		cpUS += k.share * cost[k.kind]
+	}
+	m["trace.unattributed_cp"] = unattributed(plain[wControlPlane].detail["cp_lo_p50_ms"]*1000, cpUS)
 	base := plain[sp.Workload].primary.summary()["p50_ms"]
 	m["trace.overhead_frac"] = (traced[sp.Workload].primary.summary()["p50_ms"] - base) / base
 

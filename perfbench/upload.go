@@ -12,14 +12,21 @@ import (
 	"repro/internal/tracesim"
 )
 
-// setupReps is how many times an end-to-end run sets up; set-up time is
-// reported as their median.
-const setupReps = 9
+// An end-to-end run sets up at least setupReps times and until
+// setupBudget is spent, at most maxSetupReps times; set-up time is
+// reported as the median. A cheap set-up (a bare simd start, about
+// 8 ms) is thus timed a few hundred times, not nine.
+const (
+	setupReps    = 9
+	setupBudget  = 3 * time.Second
+	maxSetupReps = 400
+)
 
-// startFresh sets simd up reps times over a fresh data directory,
-// recording each set-up time, and keeps the last one running. ready
-// runs after each start and belongs to the set-up.
-func (b *bench) startFresh(ctx context.Context, o *outcome, reps, conns int, ready func(*service.Client) error) (*simd, *service.Client, error) {
+// startFresh sets simd up over a fresh data directory as often as ph
+// asks, recording each set-up time, and keeps the last one running.
+// ready runs after each start and belongs to the set-up.
+func (b *bench) startFresh(ctx context.Context, o *outcome, ph phase, conns int, ready func(*service.Client) error) (*simd, *service.Client, error) {
+	begin := time.Now()
 	for i := 0; ; i++ {
 		t0 := time.Now()
 		srv, err := startSimd(ctx, b.simdBin, filepath.Join(b.work, "data"))
@@ -34,7 +41,7 @@ func (b *bench) startFresh(ctx context.Context, o *outcome, reps, conns int, rea
 			}
 		}
 		o.setups = append(o.setups, time.Since(t0).Seconds())
-		if i >= reps-1 {
+		if i >= ph.setups-1 && (time.Since(begin) >= ph.setupBudget || i >= maxSetupReps-1) {
 			return srv, c, nil
 		}
 		c.HTTPClient.CloseIdleConnections()
@@ -62,7 +69,7 @@ func (o *outcome) finish(srv *simd, c *service.Client) error {
 // over them × the four configs with wait=1.
 func (b *bench) uploadCampaign(ctx context.Context, sp spec, ph phase) (_ *outcome, err error) {
 	o := newOutcome()
-	srv, c, err := b.startFresh(ctx, o, ph.setups, sp.Conns, nil)
+	srv, c, err := b.startFresh(ctx, o, ph, sp.Conns, nil)
 	if err != nil {
 		return nil, err
 	}
