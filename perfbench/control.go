@@ -149,6 +149,9 @@ func (b *bench) controlPlane(ctx context.Context, sp spec, ph phase) (_ *outcome
 	}
 	start := time.Now()
 	lo, hi := sp.Rates["lo"], sp.Rates["hi"]
+	for range 8 {
+		b.probe(o)
+	}
 	st.run(ctx, lo, 300*time.Millisecond, 0, o) // warm-up, discarded
 	los := st.run(ctx, lo, ph.dur/5, 1, o)
 	win, err := openWindow(srv)
@@ -178,6 +181,7 @@ func (b *bench) controlPlane(ctx context.Context, sp spec, ph phase) (_ *outcome
 		if time.Since(start)+stepDur > ph.dur {
 			break
 		}
+		b.probe(o)
 		s := st.run(ctx, rate, stepDur, n, o)
 		// The newest step wins over older evidence it contradicts, so
 		// a noisy step cannot leave an inverted bracket.

@@ -40,6 +40,7 @@ type bench struct {
 	seed    int64
 	dur     time.Duration
 	refs    *references
+	pace    *pacer
 	reqSeq  atomic.Int64 // X-Request-Id sequence of traced requests
 }
 
@@ -97,6 +98,7 @@ func run() int {
 		seed:    *seed,
 		dur:     time.Duration(*seconds) * time.Second,
 		refs:    newReferences(),
+		pace:    newPacer(),
 	}
 	if err := os.MkdirAll(b.work, 0o755); err != nil {
 		return fail(err)
@@ -193,6 +195,14 @@ type outcome struct {
 	// steal and ticks are the host's stolen and total CPU ticks over
 	// the timed windows.
 	steal, ticks int64
+	// pace holds the host-pace probe's times (ms), taken between timed
+	// requests.
+	pace []float64
+}
+
+// probe times the host-pace probe once, outside any timed request.
+func (b *bench) probe(o *outcome) {
+	o.pace = append(o.pace, b.pace.probe())
 }
 
 // window measures simd's CPU time and the host's steal over one timed
@@ -239,6 +249,11 @@ func (o *outcome) mismatch(err error) {
 func (o *outcome) endToEnd() (result, map[string]float64, error) {
 	s := o.primary.summary()
 	cpuOp := ms(o.simdCPU) / float64(max(o.units, 1))
+	pace := median(o.pace)
+	o.detail["p50_ms"] = s["p50_ms"]
+	o.detail["cpu_ms_op"] = cpuOp
+	o.detail["pace_ms"] = pace
+	o.detail["pace_n"] = float64(len(o.pace))
 	o.detail["fail_frac"] = float64(o.failed) / float64(max(o.attempted, 1))
 	o.detail["p90_ms"] = s["p90_ms"]
 	o.detail["p99_ms"] = s["p99_ms"]
@@ -250,10 +265,10 @@ func (o *outcome) endToEnd() (result, map[string]float64, error) {
 		Attempted: o.attempted,
 		Failed:    o.failed,
 		Metrics: map[string]metric{
-			"setup_s":     {median(o.setups), "s"},
-			"rss_peak_mb": {o.rssMB, "MB"},
-			"p50_ms":      {s["p50_ms"], "ms"},
-			"cpu_ms_op":   {cpuOp, "ms"},
+			"setup_s":         {median(o.setups), "s"},
+			"rss_peak_mb":     {o.rssMB, "MB"},
+			"p50_paced_ms":    {s["p50_ms"] * paceRefMS / pace, "ms"},
+			"cpu_paced_ms_op": {cpuOp * paceRefMS / pace, "ms"},
 		},
 	}, o.detail, errors.Join(o.gate...)
 }

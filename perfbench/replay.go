@@ -101,7 +101,10 @@ func (b *bench) replaySerial(ctx context.Context, sp spec, ph phase) (_ *outcome
 		if err != nil {
 			return nil, err
 		}
-		for _, r := range order {
+		for i, r := range order {
+			if i%4 == 0 {
+				b.probe(o)
+			}
 			var resp service.ReplayResponse
 			d, err := b.call(ctx, ph, c, "replay", true, func(c *service.Client) (err error) {
 				resp, err = c.Replay(ctx, service.ReplayRequest{Trace: ids[r.trace], Config: r.config, SKU: r.sku})

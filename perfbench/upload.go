@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"repro/internal/campaign"
@@ -93,27 +95,15 @@ func (b *bench) uploadCampaign(ctx context.Context, sp spec, ph phase) (_ *outco
 	}
 	deadline := time.Now().Add(ph.dur)
 	for it := int64(0); it == 0 || time.Now().Before(deadline); it++ {
-		streams := make([][]tracesim.Access, len(sp.Traces))
-		bodies := make([][]byte, len(sp.Traces))
-		ids := make([]string, len(sp.Traces))
-		for i, ts := range sp.Traces {
-			streams[i] = generate(ts, (b.seed*1_000_003+it)*8+int64(i))
-			if ids[i], err = contentID(streams[i]); err != nil {
-				return nil, err
-			}
-			switch i % 3 {
-			case 0:
-				bodies[i] = ndjson(streams[i])
-			case 1:
-				bodies[i] = csvBody(streams[i])
-			default:
-				bodies[i] = gzipped(ndjson(streams[i]))
-			}
+		streams, bodies, ids, err := uploadInputs(sp.Traces, (b.seed*1_000_003+it)*8)
+		if err != nil {
+			return nil, err
 		}
 		if err := b.refs.compute(streams, ids, sp.Configs, sp.SKUs); err != nil {
 			return nil, err
 		}
 
+		b.probe(o)
 		win, err := openWindow(srv)
 		if err != nil {
 			return nil, err
@@ -180,6 +170,39 @@ func (b *bench) uploadCampaign(ctx context.Context, sp spec, ph phase) (_ *outco
 	o.detail["upload_maccess_s"] = float64(uploaded) / 1e6 / uploadBusy.Seconds()
 	o.detail["iteration_p50_ms"] = median(iters.ms)
 	return o, nil
+}
+
+// uploadInputs generates one iteration's traces, from seeds seed,
+// seed+1, ..., with their content addresses and upload bodies (NDJSON,
+// CSV and gzip NDJSON in turn). The traces are prepared in parallel on
+// every CPU, so more of a run is spent inside the timed windows.
+func uploadInputs(traces []traceSpec, seed int64) (streams [][]tracesim.Access, bodies [][]byte, ids []string, err error) {
+	streams = make([][]tracesim.Access, len(traces))
+	bodies = make([][]byte, len(traces))
+	ids = make([]string, len(traces))
+	errs := make([]error, len(traces))
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, nproc())
+	for i, ts := range traces {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			streams[i] = generate(ts, seed+int64(i))
+			ids[i], errs[i] = contentID(streams[i])
+			switch i % 3 {
+			case 0:
+				bodies[i] = ndjson(streams[i])
+			case 1:
+				bodies[i] = csvBody(streams[i])
+			default:
+				bodies[i] = gzipped(ndjson(streams[i]))
+			}
+		}()
+	}
+	wg.Wait()
+	return streams, bodies, ids, errors.Join(errs...)
 }
 
 // checkCampaign gates a replay campaign's result: every point present
