@@ -79,8 +79,42 @@ func (s *Stats) Add(other Stats) {
 const packedMaxWays = 16
 
 // nibLo has the low bit of every nibble set; multiplying by it
-// broadcasts a way index into all 16 nibble lanes.
+// broadcasts a slot index into all 16 nibble lanes.
 const nibLo = 0x1111111111111111
+
+// lruStack is the recency order of up to packedMaxWays slots (the
+// ways of a cache set, the entries of the prefetcher's stream table)
+// packed into one word as 4-bit slot indices, most recent in the low
+// nibble. Slots are pushed in index order 0, 1, … while the owner
+// fills, so until it is full the high nibbles stay zero and the real
+// nibble of slot 0 always sits below that padding.
+type lruStack uint64
+
+// touch moves resident slot w to the top, branch-free. The xor
+// broadcast makes w's nibble the lowest zero nibble of x, the borrow
+// trick flags it, and the shifted recombination closes the gap.
+func (s lruStack) touch(w int) lruStack {
+	x := uint64(s) ^ (uint64(w) * nibLo)
+	y := (x - nibLo) &^ x & 0x8888888888888888
+	p := uint(bits.TrailingZeros64(y)) &^ 3 // bit offset of w's nibble
+	below := uint64(s) & (uint64(1)<<p - 1)
+	above := uint64(s) &^ (uint64(1)<<(p+4) - 1)
+	return lruStack(above | below<<4 | uint64(w))
+}
+
+// top returns the most recent slot.
+func (s lruStack) top() int { return int(s & 15) }
+
+// push puts slot w, newly filled, on top of a stack that is not full.
+func (s lruStack) push(w int) lruStack { return s<<4 | lruStack(w) }
+
+// rotate takes the least-recent slot of a full stack, whose LRU nibble
+// sits at bit lruShift (4 × (slots−1)), and moves it to the top. It
+// returns the new stack and the slot.
+func (s lruStack) rotate(lruShift uint) (lruStack, int) {
+	w := s >> lruShift & 15
+	return (s^w<<lruShift)<<4 | w, int(w)
+}
 
 // SetAssoc is a set-associative write-back, write-allocate cache with
 // LRU replacement.
@@ -108,11 +142,10 @@ type SetAssoc struct {
 	// dmask holds one dirty bit per way. Valid ways always occupy the
 	// low way indices [0, vcnt) — installs fill way vcnt first — so
 	// the stack's high nibbles stay zero until the set is full.
-	packed    bool
-	stack     []uint64
-	dmask     []uint16
-	lruShift  uint   // 4*(ways-1): shift that exposes the LRU nibble
-	stackMask uint64 // low 4*ways bits
+	packed   bool
+	stack    []lruStack
+	dmask    []uint16
+	lruShift uint // 4*(ways-1): shift that exposes the LRU nibble
 
 	// Generic replacement state (ways > packedMaxWays).
 	lru   []uint64 // sets*ways; last-touch tick
@@ -161,10 +194,9 @@ func NewSetAssoc(name string, capacity units.Bytes, ways int, lineSize units.Byt
 	}
 	if ways <= packedMaxWays {
 		c.packed = true
-		c.stack = make([]uint64, sets)
+		c.stack = make([]lruStack, sets)
 		c.dmask = make([]uint16, sets)
 		c.lruShift = uint(4 * (ways - 1))
-		c.stackMask = ^uint64(0) >> (64 - 4*uint(ways))
 	} else {
 		c.lru = make([]uint64, int(lines))
 		c.dirty = make([]bool, int(lines))
@@ -290,39 +322,24 @@ func (c *SetAssoc) TouchTagSet(lineAddr uint64) uint64 {
 //
 //simd:hotpath — runs once per simulated access.
 func (c *SetAssoc) findWayMRU(set, base int, stag uint64) int {
-	if w := int(c.stack[set] & 15); c.tags[base+w] == stag {
+	if w := c.stack[set].top(); c.tags[base+w] == stag {
 		return w
 	}
 	return c.findWay(base, stag)
-}
-
-// stackTouch moves resident way w to the top (MRU nibble) of set's
-// packed LRU stack, branch-free. The xor broadcast makes w's nibble
-// the lowest zero nibble of x, the borrow trick flags it, and the
-// shifted recombination closes the gap.
-func (c *SetAssoc) stackTouch(set, w int) {
-	s := c.stack[set]
-	x := s ^ (uint64(w) * nibLo)
-	y := (x - nibLo) &^ x & 0x8888888888888888
-	p := uint(bits.TrailingZeros64(y)) &^ 3 // bit offset of w's nibble
-	below := s & (uint64(1)<<p - 1)
-	above := s &^ (uint64(1)<<(p+4) - 1)
-	c.stack[set] = above | below<<4 | uint64(w)
 }
 
 // victimInstall picks the replacement way of a packed set and pushes
 // it to the top of the stack: the next unused way index while the set
 // is filling (valid ways always occupy [0, vcnt)), else the LRU
 // nibble. O(1) either way — no per-way scan.
-func (c *SetAssoc) victimInstall(set int) int {
-	if n := c.vcnt[set]; int(n) < c.ways {
-		c.vcnt[set] = n + 1
-		c.stack[set] = c.stack[set]<<4 | uint64(n)
-		return int(n)
+func (c *SetAssoc) victimInstall(set int) (w int) {
+	st := &c.stack[set]
+	if w = int(c.vcnt[set]); w < c.ways {
+		c.vcnt[set]++
+		*st = st.push(w)
+		return w
 	}
-	s := c.stack[set]
-	w := int(s >> c.lruShift & 15)
-	c.stack[set] = (s<<4 | uint64(w)) & c.stackMask
+	*st, w = st.rotate(c.lruShift)
 	return w
 }
 
@@ -368,7 +385,7 @@ func (c *SetAssoc) AccessLine(lineAddr uint64, kind AccessKind) (hit bool, wbLin
 		stag := (lineAddr >> c.setShift) + 1
 		base := set * c.ways
 		if way := c.findWayMRU(set, base, stag); way >= 0 {
-			c.stackTouch(set, way)
+			c.stack[set] = c.stack[set].touch(way)
 			if kind == Write {
 				c.dmask[set] |= 1 << uint(way)
 			}

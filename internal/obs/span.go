@@ -308,8 +308,11 @@ func (t *Tracer) Finish(tr *Trace, route string, status int, elapsed time.Durati
 		t.evictLocked(&t.pinset)
 	}
 	// Moving rings may have been preceded by a general-ring eviction
-	// racing in; restore the lookup entry.
-	t.byID[tr.id] = tr
+	// racing in; restore the lookup entry, unless a newer request with
+	// the same ID has begun since and, as Begin has it, shadows this one.
+	if _, ok := t.byID[tr.id]; !ok {
+		t.byID[tr.id] = tr
+	}
 	t.mu.Unlock()
 }
 

@@ -209,6 +209,24 @@ func TestTracerTailSamplingPinsErrorsAndSlow(t *testing.T) {
 	}
 }
 
+func TestTracerPinningKeepsNewestDuplicateID(t *testing.T) {
+	tracer := NewTracer(8, 0)
+	first, firstRoot := tracer.Begin("X")
+	_, secondRoot := tracer.Begin("X")
+	defer secondRoot.End()
+	firstRoot.End()
+	tracer.Finish(first, "/v1/run", http.StatusInternalServerError, time.Millisecond)
+
+	got, ok := tracer.Get("X")
+	if !ok {
+		t.Fatal("trace X not found")
+	}
+	if got.Pinned || got.Name != "" {
+		t.Fatalf("Get(X) returned the finished first trace (pinned=%v name=%q), want the newer in-flight one",
+			got.Pinned, got.Name)
+	}
+}
+
 func TestTracingMiddleware(t *testing.T) {
 	tracer := NewTracer(8, 0)
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -30,7 +30,7 @@
 //     concurrently with per-tile-L2 semantics, merging Results.
 //     Aggregate hit/miss/writeback counts match scalar replay exactly.
 //
-// See the repository doc.go for how to benchmark the three gears.
+// See the repository doc.go for how to benchmark the four gears.
 package tracesim
 
 import (
